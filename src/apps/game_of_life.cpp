@@ -4,6 +4,14 @@ namespace apps::gol {
 
 using namespace maps::multi;
 
+namespace {
+
+/// Toroidal coordinate: `v` itself when inside [0, n), so only cells on the
+/// world's edge pay for the modulo.
+long wrap(long v, long n) { return (v >= 0 && v < n) ? v : (v % n + n) % n; }
+
+} // namespace
+
 CostHints maps_cost_hints() {
   CostHints h;
   h.flops_per_elem = 10.0;    // neighbor adds + rule compare
@@ -47,8 +55,7 @@ bool NaiveTickRoutine(RoutineArgs& args) {
             if (dx == 0 && dy == 0) {
               continue;
             }
-            const long lx = ((x + dx) % w + w) % w;
-            live += src_row[lx];
+            live += src_row[wrap(x + dx, w)];
           }
         }
         const long lyc = gy - in.origin;
@@ -83,13 +90,17 @@ void run_naive_iterations(Scheduler& sched, Matrix<int>& a, Matrix<int>& b,
                           int iterations) {
   using Win = Window2D<int, 1, maps::WRAP>;
   using Out = StructuredInjective<int, 2>;
-  sched.AnalyzeCall(Win(a), Out(b));
-  sched.AnalyzeCall(Win(b), Out(a));
+  // Analyze with the routine's own work space: a kernel-shaped analysis
+  // partitions rows on thread-block boundaries, which differ from the
+  // routine's row partition when the height is not a block multiple.
+  const Work work{a.height(), 1};
+  sched.AnalyzeCall(work, Win(a), Out(b));
+  sched.AnalyzeCall(work, Win(b), Out(a));
   for (int i = 0; i < iterations; ++i) {
     Matrix<int>& in = (i % 2 == 0) ? a : b;
     Matrix<int>& out = (i % 2 == 0) ? b : a;
-    sched.InvokeUnmodified(NaiveTickRoutine, nullptr, Work{in.height(), 1},
-                           Win(in), Out(out));
+    sched.InvokeUnmodified(NaiveTickRoutine, nullptr, work, Win(in),
+                           Out(out));
   }
 }
 
@@ -117,23 +128,23 @@ double run(Scheduler& sched, Matrix<int>& a, Matrix<int>& b, int iterations,
 void reference_tick(std::vector<int>& grid, std::size_t width,
                     std::size_t height) {
   std::vector<int> next(grid.size());
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
+  const long w = static_cast<long>(width);
+  const long h = static_cast<long>(height);
+  for (long y = 0; y < h; ++y) {
+    for (long x = 0; x < w; ++x) {
       int live = 0;
       for (int dy = -1; dy <= 1; ++dy) {
+        const int* row = grid.data() + wrap(y + dy, h) * w;
         for (int dx = -1; dx <= 1; ++dx) {
           if (dx == 0 && dy == 0) {
             continue;
           }
-          const std::size_t yy =
-              (y + height + static_cast<std::size_t>(dy)) % height;
-          const std::size_t xx =
-              (x + width + static_cast<std::size_t>(dx)) % width;
-          live += grid[yy * width + xx];
+          live += row[wrap(x + dx, w)];
         }
       }
-      const int alive = grid[y * width + x];
-      next[y * width + x] = (live == 3 || (alive && live == 2)) ? 1 : 0;
+      const int alive = grid[static_cast<std::size_t>(y * w + x)];
+      next[static_cast<std::size_t>(y * w + x)] =
+          (live == 3 || (alive && live == 2)) ? 1 : 0;
     }
   }
   grid = std::move(next);

@@ -13,6 +13,7 @@
 // boundaries are resolved in-place per the Boundary mode.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 
 #include "multi/pattern_base.hpp"
@@ -21,32 +22,50 @@ namespace maps::multi {
 
 namespace detail {
 
+/// Resolves column `wx` of a row `width` elements wide per the lateral
+/// boundary mode. An in-range column costs one compare and no arithmetic;
+/// only a column off the edge pays for the boundary rule, and only Wrap
+/// divides (the double modulo also serves offsets past one whole width,
+/// i.e. windows wider than the datum). Returns false for a Zero-boundary
+/// miss, whose read yields T{}.
+inline bool resolve_column(maps::Boundary boundary, long& wx, long width) {
+  if (wx >= 0 && wx < width) {
+    return true;
+  }
+  switch (boundary) {
+  case maps::Boundary::Wrap:
+    wx = (wx % width + width) % width;
+    return true;
+  case maps::Boundary::Clamp:
+    wx = wx < 0 ? 0 : width - 1;
+    return true;
+  case maps::Boundary::Zero:
+    return false;
+  case maps::Boundary::NoChecks:
+    return true;
+  }
+  return true;
+}
+
+/// Base pointer of virtual global row `wy` in a device view; the halo rows
+/// materialized by the boundary exchanges keep every window row in range.
+inline const std::byte* window_row(const DeviceView& v, long wy) {
+  const long ly = wy - v.origin;
+  assert(ly >= 0 && static_cast<std::size_t>(ly) < v.rows);
+  return v.base + static_cast<std::size_t>(ly) * v.pitch;
+}
+
 /// Shared implementation of windowed reads with halo-in-Y, boundary-in-X.
 template <typename T> class WindowAccess {
 public:
   static T load(const DeviceView& v, maps::Boundary boundary, long wx,
                 long wy) {
-    const long width = static_cast<long>(v.row_elems);
-    switch (boundary) {
-    case maps::Boundary::Wrap:
-      wx = (wx % width + width) % width;
-      break;
-    case maps::Boundary::Clamp:
-      wx = wx < 0 ? 0 : (wx >= width ? width - 1 : wx);
-      break;
-    case maps::Boundary::Zero:
-      if (wx < 0 || wx >= width) {
-        return T{};
-      }
-      break;
-    case maps::Boundary::NoChecks:
-      break;
+    if (!resolve_column(boundary, wx, static_cast<long>(v.row_elems))) {
+      return T{};
     }
-    const long ly = wy - v.origin; // halo rows make this in-range
-    assert(ly >= 0 && static_cast<std::size_t>(ly) < v.rows);
-    return *reinterpret_cast<const T*>(
-        v.base + static_cast<std::size_t>(ly) * v.pitch +
-        static_cast<std::size_t>(wx) * sizeof(T));
+    return *reinterpret_cast<const T*>(window_row(v, wy) +
+                                       static_cast<std::size_t>(wx) *
+                                           sizeof(T));
   }
 };
 
@@ -97,39 +116,60 @@ public:
   }
 
   /// Iterator over the (2R+1)^2 neighborhood of one output element, row
-  /// major from (-R,-R); used by MAPS_FOREACH_ALIGNED (Fig 2b).
+  /// major from (-R,-R); used by MAPS_FOREACH_ALIGNED (Fig 2b). Building it
+  /// resolves the neighborhood once: the 2R+1 row base pointers and the
+  /// 2R+1 lateral columns (per the Boundary mode), so each read is a single
+  /// load and stepping is an increment.
   template <typename OutIter> class aligned_iterator {
   public:
-    aligned_iterator(const Window2D* c, const OutIter& out, int i)
-        : c_(c), out_(&out), i_(i) {}
-    T operator*() const {
-      constexpr int kSide = 2 * Radius + 1;
-      return c_->at(*out_, i_ % kSide - Radius, i_ / kSide - Radius);
+    static constexpr int kSide = 2 * Radius + 1;
+
+    aligned_iterator(const Window2D* c, const OutIter& out) {
+      const DeviceView& v = c->view();
+      const long x = static_cast<long>(out.work_x());
+      const long y = static_cast<long>(out.work_y());
+      const long width = static_cast<long>(v.row_elems);
+      for (int k = 0; k < kSide; ++k) {
+        rows_[k] = detail::window_row(v, y + k - Radius);
+        long wx = x + k - Radius;
+        in_[k] = detail::resolve_column(B, wx, width);
+        cols_[k] = static_cast<std::ptrdiff_t>(wx) *
+                   static_cast<std::ptrdiff_t>(sizeof(T));
+      }
     }
-    int dx() const { return i_ % (2 * Radius + 1) - Radius; }
-    int dy() const { return i_ / (2 * Radius + 1) - Radius; }
+    T operator*() const {
+      const int ix = k_ % kSide; // constant divisor: folds away when the
+      const int iy = k_ / kSide; // fixed-trip loop unrolls
+      if constexpr (B == maps::Boundary::Zero) {
+        if (!in_[ix]) {
+          return T{};
+        }
+      }
+      return *reinterpret_cast<const T*>(rows_[iy] + cols_[ix]);
+    }
+    int dx() const { return k_ % kSide - Radius; }
+    int dy() const { return k_ / kSide - Radius; }
     /// True at the window's center element.
-    bool is_center() const { return dx() == 0 && dy() == 0; }
+    bool is_center() const { return k_ == kSide * Radius + Radius; }
     aligned_iterator& operator++() {
-      ++i_;
+      ++k_;
       return *this;
     }
-    bool operator!=(const aligned_iterator& o) const { return i_ != o.i_; }
+    bool operator!=(IterEnd) const { return k_ < kSide * kSide; }
 
   private:
-    const Window2D* c_;
-    const OutIter* out_;
-    int i_;
+    const std::byte* rows_[kSide] = {};
+    std::ptrdiff_t cols_[kSide] = {};
+    bool in_[kSide] = {};
+    int k_ = 0;
   };
 
   template <typename OutIter>
   aligned_iterator<OutIter> aligned_begin(const OutIter& out) const {
-    return aligned_iterator<OutIter>(this, out, 0);
+    return aligned_iterator<OutIter>(this, out);
   }
-  template <typename OutIter>
-  aligned_iterator<OutIter> aligned_end(const OutIter& out) const {
-    constexpr int kSide = 2 * Radius + 1;
-    return aligned_iterator<OutIter>(this, out, kSide * kSide);
+  template <typename OutIter> IterEnd aligned_end(const OutIter&) const {
+    return IterEnd{};
   }
 
   /// Input iterator aligned with the output's current element — the window

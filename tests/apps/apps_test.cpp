@@ -30,29 +30,42 @@ struct SchemeDevices {
 };
 
 class GolSchemeTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+protected:
+  /// Runs five ticks of the parameterized scheme on a W x H world and
+  /// compares the result with the CPU reference.
+  void ExpectMatchesReference(std::size_t W, std::size_t H) {
+    const auto scheme =
+        static_cast<apps::gol::Scheme>(std::get<0>(GetParam()));
+    const int devices = std::get<1>(GetParam());
+    const int iterations = 5;
+
+    std::vector<int> host_a = random_cells(W * H, 11);
+    std::vector<int> host_b(W * H, 0);
+    std::vector<int> ref = host_a;
+
+    sim::Node node(sim::homogeneous_node(sim::gtx780(), devices));
+    Scheduler sched(node);
+    Matrix<int> A(W, H, "A"), B(W, H, "B");
+    A.Bind(host_a.data());
+    B.Bind(host_b.data());
+
+    apps::gol::run(sched, A, B, iterations, scheme);
+    for (int i = 0; i < iterations; ++i) {
+      apps::gol::reference_tick(ref, W, H);
+    }
+    EXPECT_EQ((iterations % 2 == 0) ? host_a : host_b, ref);
+  }
+};
 
 TEST_P(GolSchemeTest, AllSchemesMatchReference) {
-  const auto scheme = static_cast<apps::gol::Scheme>(std::get<0>(GetParam()));
-  const int devices = std::get<1>(GetParam());
-  const std::size_t W = 128, H = 96;
-  const int iterations = 5;
+  ExpectMatchesReference(128, 96);
+}
 
-  std::vector<int> host_a = random_cells(W * H, 11);
-  std::vector<int> host_b(W * H, 0);
-  std::vector<int> ref = host_a;
-
-  sim::Node node(sim::homogeneous_node(sim::gtx780(), devices));
-  Scheduler sched(node);
-  Matrix<int> A(W, H, "A"), B(W, H, "B");
-  A.Bind(host_a.data());
-  B.Bind(host_b.data());
-
-  apps::gol::run(sched, A, B, iterations, scheme);
-  for (int i = 0; i < iterations; ++i) {
-    apps::gol::reference_tick(ref, W, H);
-  }
-  EXPECT_EQ((iterations % 2 == 0) ? host_a : host_b, ref);
+// A shape that is a multiple of no block or ILP tile, so edge threads skip
+// part of their ILP tile in both dimensions.
+TEST_P(GolSchemeTest, RaggedShapeMatchesReference) {
+  ExpectMatchesReference(37, 29);
 }
 
 INSTANTIATE_TEST_SUITE_P(SchemesByDevices, GolSchemeTest,

@@ -190,6 +190,167 @@ INSTANTIATE_TEST_SUITE_P(DevicesByBoundary, Window1DTest,
                          ::testing::Combine(::testing::Values(1, 2, 4),
                                             ::testing::Values(0, 1, 2)));
 
+// --- Window(2D): lateral boundaries ---------------------------------------------
+
+/// Weight of neighbor (dx, dy) in a radius-R window: distinct per position,
+/// with the center weighted apart, so a misplaced read changes the sum.
+int window_weight(int dx, int dy, int radius, bool center) {
+  return (dy + radius) * (2 * radius + 1) + (dx + radius) + 1 +
+         (center ? 100 : 0);
+}
+
+constexpr int kBadOrder = -1000000;
+
+/// Weighted neighborhood sum through MAPS_FOREACH_ALIGNED; also checks that
+/// the iterator walks row major from (-R, -R) and flags the center.
+struct WindowForeachKernel {
+  template <typename In, typename Out>
+  void operator()(const maps::ThreadContext&, In& x, Out& y) const {
+    constexpr int R = In::kRadius;
+    constexpr int side = 2 * R + 1;
+    MAPS_FOREACH(it, y) {
+      int acc = 0;
+      int k = 0;
+      bool in_order = true;
+      MAPS_FOREACH_ALIGNED(n, x, it) {
+        in_order = in_order && n.dx() == k % side - R &&
+                   n.dy() == k / side - R &&
+                   n.is_center() == (n.dx() == 0 && n.dy() == 0);
+        acc += window_weight(n.dx(), n.dy(), R, n.is_center()) * *n;
+        ++k;
+      }
+      *it = (in_order && k == side * side) ? acc : kBadOrder;
+    }
+  }
+};
+
+/// The same weighted sum through random access at(cell, dx, dy).
+struct WindowAtKernel {
+  template <typename In, typename Out>
+  void operator()(const maps::ThreadContext&, In& x, Out& y) const {
+    constexpr int R = In::kRadius;
+    MAPS_FOREACH(it, y) {
+      int acc = 0;
+      for (int dy = -R; dy <= R; ++dy) {
+        for (int dx = -R; dx <= R; ++dx) {
+          acc += window_weight(dx, dy, R, dx == 0 && dy == 0) * x.at(it, dx, dy);
+        }
+      }
+      *it = acc;
+    }
+  }
+};
+
+/// Brute-force host value of x at (i, j) under boundary `b`, applied in
+/// both dimensions; NoChecks never leaves the datum (radius 0).
+int boundary_read(const std::vector<int>& x, long W, long H, maps::Boundary b,
+                  long i, long j) {
+  switch (b) {
+  case maps::Boundary::Wrap:
+    i = (i % H + H) % H;
+    j = (j % W + W) % W;
+    break;
+  case maps::Boundary::Clamp:
+    i = std::clamp<long>(i, 0, H - 1);
+    j = std::clamp<long>(j, 0, W - 1);
+    break;
+  case maps::Boundary::Zero:
+    if (i < 0 || j < 0 || i >= H || j >= W) {
+      return 0;
+    }
+    break;
+  case maps::Boundary::NoChecks:
+    break;
+  }
+  return x[static_cast<std::size_t>(i * W + j)];
+}
+
+template <maps::Boundary B, int R>
+void expect_window2d_matches_reference(int devices, std::size_t W) {
+  const std::size_t H = 29;
+  std::mt19937 rng(static_cast<unsigned>(W * 7 + R));
+  std::vector<int> x(W * H);
+  for (auto& v : x) {
+    v = static_cast<int>(rng() % 9) + 1;
+  }
+  std::vector<int> ref(W * H);
+  for (long i = 0; i < static_cast<long>(H); ++i) {
+    for (long j = 0; j < static_cast<long>(W); ++j) {
+      int acc = 0;
+      for (int dy = -R; dy <= R; ++dy) {
+        for (int dx = -R; dx <= R; ++dx) {
+          acc += window_weight(dx, dy, R, dx == 0 && dy == 0) *
+                 boundary_read(x, static_cast<long>(W), static_cast<long>(H),
+                               B, i + dy, j + dx);
+        }
+      }
+      ref[static_cast<std::size_t>(i) * W + static_cast<std::size_t>(j)] =
+          acc;
+    }
+  }
+
+  std::vector<int> y_foreach(W * H, -1), y_at(W * H, -1);
+  sim::Node node = make_node(devices);
+  Scheduler sched(node);
+  Matrix<int> X(W, H), YF(W, H), YA(W, H);
+  X.Bind(x.data());
+  YF.Bind(y_foreach.data());
+  YA.Bind(y_at.data());
+  sched.Invoke(WindowForeachKernel{}, Window2D<int, R, B>(X),
+               StructuredInjective<int, 2>(YF));
+  sched.Invoke(WindowAtKernel{}, Window2D<int, R, B>(X),
+               StructuredInjective<int, 2>(YA));
+  sched.Gather(YF);
+  sched.Gather(YA);
+  EXPECT_EQ(y_foreach, ref) << "MAPS_FOREACH_ALIGNED";
+  EXPECT_EQ(y_at, ref) << "at(cell, dx, dy)";
+}
+
+enum class WindowCase { Wrap1, Wrap2, Clamp1, Clamp2, Zero1, Zero2, NoChecks0 };
+
+class Window2DLateralTest
+    : public ::testing::TestWithParam<std::tuple<int, int, WindowCase>> {};
+
+// Widths below 2R + 1 make a window reach past a whole row, which forces
+// the multi-wrap fallback; 37 is wide enough for the in-range fast path.
+TEST_P(Window2DLateralTest, NeighborhoodMatchesBruteForce) {
+  const int devices = std::get<0>(GetParam());
+  const auto W = static_cast<std::size_t>(std::get<1>(GetParam()));
+  switch (std::get<2>(GetParam())) {
+  case WindowCase::Wrap1:
+    expect_window2d_matches_reference<maps::WRAP, 1>(devices, W);
+    break;
+  case WindowCase::Wrap2:
+    expect_window2d_matches_reference<maps::WRAP, 2>(devices, W);
+    break;
+  case WindowCase::Clamp1:
+    expect_window2d_matches_reference<maps::CLAMP, 1>(devices, W);
+    break;
+  case WindowCase::Clamp2:
+    expect_window2d_matches_reference<maps::CLAMP, 2>(devices, W);
+    break;
+  case WindowCase::Zero1:
+    expect_window2d_matches_reference<maps::ZERO, 1>(devices, W);
+    break;
+  case WindowCase::Zero2:
+    expect_window2d_matches_reference<maps::ZERO, 2>(devices, W);
+    break;
+  case WindowCase::NoChecks0:
+    expect_window2d_matches_reference<maps::NO_CHECKS, 0>(devices, W);
+    break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DevicesByWidthByBoundary, Window2DLateralTest,
+    ::testing::Combine(::testing::Values(1, 2, 4),
+                       ::testing::Values(1, 2, 3, 37),
+                       ::testing::Values(WindowCase::Wrap1, WindowCase::Wrap2,
+                                         WindowCase::Clamp1,
+                                         WindowCase::Clamp2, WindowCase::Zero1,
+                                         WindowCase::Zero2,
+                                         WindowCase::NoChecks0)));
+
 // --- Permutation: block-local reversal (FFT-style distribution) ----------------
 
 struct BlockReverseKernel {
