@@ -238,9 +238,9 @@ int main(int argc, char** argv) {
       "Cluster scale-out: hierarchical planning at 2-8 nodes of 8x GTX 780");
 
   struct Config {
-    int nodes, gpus_per_node;
-    Run gol_hier, gol_flat, gol_pipe, bcast_hier, bcast_flat, bcast_pipe,
-        control;
+    int nodes = 0, gpus_per_node = 0;
+    Run gol_hier{}, gol_flat{}, gol_pipe{}, bcast_hier{}, bcast_flat{},
+        bcast_pipe{}, control{};
   } configs[] = {{2, 8}, {4, 8}, {8, 8}};
 
   for (Config& c : configs) {

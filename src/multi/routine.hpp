@@ -20,6 +20,8 @@
 
 namespace maps::multi {
 
+class ThreadPool;
+
 /// One container argument as seen by the routine on one device: the device
 /// buffer plus the geometry of the local segment.
 struct RoutineParam {
@@ -49,6 +51,10 @@ struct RoutineArgs {
   int sim_device = 0;  ///< Simulator device id.
   sim::StreamId stream = 0;
   void* context = nullptr; ///< Programmer-generated context object.
+  /// The execution backend's worker pool (DESIGN.md §5.12), or null on the
+  /// sequential path. A routine's functional body may fork its output rows
+  /// onto it; the pool outlives every body the routine enqueues.
+  ThreadPool* pool = nullptr;
 
   std::vector<RoutineParam> parameters;
   std::vector<Segment> container_segments;

@@ -1636,6 +1636,7 @@ void Scheduler::enqueue_device_commands(
     args.sim_device = devices_[static_cast<std::size_t>(slot)];
     args.stream = compute_stream;
     args.context = context;
+    args.pool = exec_pool();
     args.parameters = dp.params;
     args.container_segments = dp.segments;
     args.constants = *consts;
@@ -2127,8 +2128,10 @@ TaskHandle Scheduler::dispatch_streamed(
     }
   }
 
-  // 3. Per-segment streamed passes.
+  // 3. Per-segment streamed passes. Their window events live only inside
+  // this task and are released once it has drained.
   std::vector<sim::Buffer*> temps;
+  std::vector<std::pair<sim::EventId, int>> window_events;
   for (int seg = 0; seg < slots_eff; ++seg) {
     const int slot = live_[static_cast<std::size_t>(seg)];
     const auto& sreqs = reqs[static_cast<std::size_t>(seg)];
@@ -2367,6 +2370,7 @@ TaskHandle Scheduler::dispatch_streamed(
 
     const sim::EventId ev0 =
         node_.create_events(static_cast<int>(3 * nwindows));
+    window_events.emplace_back(ev0, static_cast<int>(3 * nwindows));
     const auto inputs_ready = [&](std::size_t p) {
       return ev0 + static_cast<sim::EventId>(p);
     };
@@ -2494,6 +2498,7 @@ TaskHandle Scheduler::dispatch_streamed(
         args.sim_device = devices_[static_cast<std::size_t>(slot)];
         args.stream = ks;
         args.context = context;
+        args.pool = exec_pool();
         for (std::size_t i = 0; i < specs.size(); ++i) {
           if (!wr[i].active) {
             args.parameters.emplace_back();
@@ -2604,6 +2609,9 @@ TaskHandle Scheduler::dispatch_streamed(
   node_.synchronize();
   for (sim::Buffer* buf : temps) {
     node_.free_device(buf);
+  }
+  for (const auto& [first, n] : window_events) {
+    node_.release_events(first, n);
   }
   // A streamed task leaves nothing for repair_structured: its plain outputs
   // are already host-resident and its partials are covered by the

@@ -1,7 +1,6 @@
 #include "sim/memory.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace sim {
 
@@ -22,8 +21,8 @@ OutOfDeviceMemory::OutOfDeviceMemory(int device, std::size_t requested,
 Buffer::Buffer(int device, std::size_t bytes, bool functional)
     : device_(device), bytes_(bytes) {
   if (functional) {
+    // Value-initialised: fresh device memory reads as zero.
     data_ = std::make_unique<std::byte[]>(bytes);
-    std::memset(data_.get(), 0, bytes); // fresh device memory reads as zero
   }
 }
 

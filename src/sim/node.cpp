@@ -171,17 +171,32 @@ int Node::stream_device(StreamId stream) const {
   return streams_.at(static_cast<std::size_t>(stream)).device;
 }
 
-EventId Node::create_event() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back(EventState{});
-  return static_cast<EventId>(events_.size() - 1);
-}
+EventId Node::create_event() { return create_events(1); }
 
 EventId Node::create_events(int n) {
   std::lock_guard<std::mutex> lock(mutex_);
+  auto it = free_events_.find(n);
+  if (it != free_events_.end() && !it->second.empty()) {
+    const EventId first = it->second.back();
+    it->second.pop_back();
+    return first;
+  }
   const EventId first = static_cast<EventId>(events_.size());
   events_.resize(events_.size() + static_cast<std::size_t>(n));
   return first;
+}
+
+void Node::release_events(EventId first, int n) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (n <= 0 || first < 0 ||
+      static_cast<std::size_t>(first) + static_cast<std::size_t>(n) >
+          events_.size()) {
+    throw std::out_of_range("release_events: bad event range");
+  }
+  for (int i = 0; i < n; ++i) {
+    events_[static_cast<std::size_t>(first + i)] = EventState{};
+  }
+  free_events_[n].push_back(first);
 }
 
 void Node::enqueue(StreamId stream, Command cmd) {

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -97,8 +98,14 @@ public:
   int stream_device(StreamId stream) const;
   EventId create_event();
   /// Creates `n` events under one lock; returns the first of `n` consecutive
-  /// ids. Used by dispatch paths that know their event count up front.
+  /// ids. Used by dispatch paths that know their event count up front. A
+  /// block of exactly `n` ids returned by release_events is reused first.
   EventId create_events(int n);
+  /// Returns the `n` events from `first` — one whole create_events(n) block,
+  /// or one create_event() id for n == 1 — for reuse. No enqueued command
+  /// may still refer to them (release after a synchronize), and a block must
+  /// not be released twice. A reused event starts over as never recorded.
+  void release_events(EventId first, int n);
 
   // --- Commands ---------------------------------------------------------------
   void memcpy_h2d(StreamId stream, Buffer* dst, std::size_t dst_off,
@@ -253,6 +260,8 @@ private:
   std::vector<std::unique_ptr<DeviceAllocator>> allocators_;
   std::vector<StreamState> streams_;
   std::vector<EventState> events_;
+  /// Released event blocks by block size; create_events(n) pops from [n].
+  std::map<int, std::vector<EventId>> free_events_;
   std::vector<DeviceEngines> engines_;
   /// Shared interconnect resources: per-bus host uplink/downlink and a
   /// per-cluster-node full-duplex inter-socket link. Copies wait for and

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+
+#include "multi/segmenter.hpp"
+#include "multi/thread_pool.hpp"
 
 namespace simblas {
 
@@ -36,34 +40,114 @@ sim::LaunchStats streaming_stats(const char* label, std::size_t reads,
   return st;
 }
 
+/// Columns of one C row a micro-tile holds in local accumulators across the
+/// whole k loop. On baseline x86-64 (SSE2, no -march) with GCC 12, one row
+/// of 64 columns ran the body 1.5x faster than the i-k-j loop; tiles of 2–4
+/// rows were slower than one row, because their accumulators spilled or did
+/// not vectorize.
+constexpr std::size_t kTileCols = 64;
+
+/// c[i, j0..j1) += (alpha * a[i, p]) * b[p, j0..j1) for ascending p, skipping
+/// every p whose scaled A entry is zero: the reference i-k-j loop, kept for
+/// the column tail narrower than a tile.
+void gemm_row_span(std::size_t i, std::size_t j0, std::size_t j1,
+                   std::size_t n, std::size_t k, float alpha, const float* a,
+                   const float* b, float* c) {
+  float* ci = c + i * n;
+  for (std::size_t p = 0; p < k; ++p) {
+    const float aip = alpha * a[i * k + p];
+    if (aip == 0.0f) {
+      continue;
+    }
+    const float* bp = b + p * n;
+    for (std::size_t j = j0; j < j1; ++j) {
+      ci[j] += aip * bp[j];
+    }
+  }
+}
+
+/// gemm_row_span over the kTileCols columns from j0, with the C strip held
+/// in accumulators instead of loaded and stored once per p.
+void gemm_row_tile(std::size_t i, std::size_t j0, std::size_t n,
+                   std::size_t k, float alpha, const float* a, const float* b,
+                   float* c) {
+  float* ci = c + i * n + j0;
+  float acc[kTileCols];
+  for (std::size_t j = 0; j < kTileCols; ++j) {
+    acc[j] = ci[j];
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const float aip = alpha * a[i * k + p];
+    if (aip == 0.0f) {
+      continue;
+    }
+    const float* bp = b + p * n + j0;
+    for (std::size_t j = 0; j < kTileCols; ++j) {
+      acc[j] += aip * bp[j];
+    }
+  }
+  for (std::size_t j = 0; j < kTileCols; ++j) {
+    ci[j] = acc[j];
+  }
+}
+
+/// Rows [i0, i1) of C = alpha * A x B + beta * C. Every element gets the
+/// same arithmetic in the same order as the plain i-k-j loop: the beta
+/// scaling (a memset for beta == 0), then the products added in ascending
+/// p, skipping zero scaled A entries. So C does not depend on the tiling or
+/// on how rows are split into chunks.
+void gemm_rows(std::size_t i0, std::size_t i1, std::size_t n, std::size_t k,
+               float alpha, const float* a, const float* b, float beta,
+               float* c) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    float* ci = c + i * n;
+    if (beta == 0.0f) {
+      std::memset(ci, 0, n * sizeof(float));
+    } else if (beta != 1.0f) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ci[j] *= beta;
+      }
+    }
+    std::size_t j = 0;
+    for (; j + kTileCols <= n; j += kTileCols) {
+      gemm_row_tile(i, j, n, k, alpha, a, b, c);
+    }
+    gemm_row_span(i, j, n, n, k, alpha, a, b, c);
+  }
+}
+
 } // namespace
 
 void sgemm(sim::Node& node, int device, sim::StreamId stream, std::size_t m,
            std::size_t n, std::size_t k, float alpha, const float* a,
-           const float* b, float beta, float* c) {
+           const float* b, float beta, float* c,
+           maps::multi::ThreadPool* pool) {
   node.launch(stream, gemm_stats(node.spec(device), m, n, k),
               [=] {
-                // Cache-friendly i-k-j loop.
-                for (std::size_t i = 0; i < m; ++i) {
-                  float* ci = c + i * n;
-                  if (beta == 0.0f) {
-                    std::memset(ci, 0, n * sizeof(float));
-                  } else if (beta != 1.0f) {
-                    for (std::size_t j = 0; j < n; ++j) {
-                      ci[j] *= beta;
-                    }
-                  }
-                  for (std::size_t p = 0; p < k; ++p) {
-                    const float aip = alpha * a[i * k + p];
-                    if (aip == 0.0f) {
-                      continue;
-                    }
-                    const float* bp = b + p * n;
-                    for (std::size_t j = 0; j < n; ++j) {
-                      ci[j] += aip * bp[j];
-                    }
-                  }
+                const unsigned threads =
+                    pool == nullptr ? 1 : pool->parallelism();
+                // Chunk rows with the kernel sweeps' policy: the chunk count
+                // is a pure function of shape and thread count. A chunk
+                // touches its A and C rows; B is shared by all.
+                const std::size_t chunk = maps::multi::exec_chunk_block_rows(
+                    static_cast<unsigned>(std::min<std::size_t>(
+                        m, std::numeric_limits<unsigned>::max())),
+                    (k + n) * sizeof(float), threads);
+                if (threads <= 1 || chunk >= m) {
+                  gemm_rows(0, m, n, k, alpha, a, b, beta, c);
+                  return;
                 }
+                // Chunks write disjoint rows of C. The wait helps run queued
+                // jobs, so forking from a body that itself runs on the pool
+                // cannot deadlock.
+                maps::multi::ThreadPool::Group group;
+                for (std::size_t r0 = 0; r0 < m; r0 += chunk) {
+                  const std::size_t r1 = std::min(m, r0 + chunk);
+                  pool->submit(group, [=] {
+                    gemm_rows(r0, r1, n, k, alpha, a, b, beta, c);
+                  });
+                }
+                pool->wait(group);
               });
 }
 
@@ -136,7 +220,7 @@ bool GemmRoutine(maps::multi::RoutineArgs& args) {
   }
   sgemm(*args.node, args.sim_device, args.stream, m, n, k, alpha,
         args.parameters[0].as<float>(), args.parameters[1].as<float>(), beta,
-        args.parameters[2].as<float>());
+        args.parameters[2].as<float>(), args.pool);
   return true;
 }
 

@@ -21,9 +21,12 @@ namespace simblas {
 
 /// C[m,n] = alpha * A[m,k] x B[k,n] + beta * C[m,n]; enqueued on `stream` of
 /// `device`. Pointers are device-buffer backing (may be null in TimingOnly).
+/// With a `pool` of parallelism > 1 the functional body forks its rows in
+/// chunks onto it (DESIGN.md §5.12); C is bit-identical either way.
 void sgemm(sim::Node& node, int device, sim::StreamId stream, std::size_t m,
            std::size_t n, std::size_t k, float alpha, const float* a,
-           const float* b, float beta, float* c);
+           const float* b, float beta, float* c,
+           maps::multi::ThreadPool* pool = nullptr);
 
 /// y = alpha * x + y over n elements.
 void saxpy(sim::Node& node, int device, sim::StreamId stream, std::size_t n,
@@ -45,6 +48,7 @@ void scolsum(sim::Node& node, int device, sim::StreamId stream, std::size_t m,
 
 /// GEMM wrapper: parameters = { Block2D(A), Block2DTransposed(B),
 /// StructuredInjective(C) }; constants = { alpha, beta }. Work = C's rows.
+/// The body forks its rows onto `args.pool`.
 bool GemmRoutine(maps::multi::RoutineArgs& args);
 
 /// SAXPY wrapper (Fig 5): parameters = { Block2D(x), Block2D(y),

@@ -2,6 +2,9 @@
 // fresh allocations, TimingOnly accounting without backing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+
 #include "sim/memory.hpp"
 #include "sim/node.hpp"
 #include "sim/presets.hpp"
@@ -56,10 +59,25 @@ TEST(MemoryTest, ForeignFreeRejected) {
 }
 
 TEST(MemoryTest, FreshDeviceMemoryReadsAsZero) {
-  sim::DeviceAllocator alloc(0, 1024, true);
+  constexpr std::size_t kBytes = 1 << 20;
+  sim::DeviceAllocator alloc(0, 2 * kBytes, true);
   sim::Buffer* buf = alloc.allocate(64);
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(buf->data()[i], std::byte{0});
+  }
+  // The host heap hands a freed block straight back: the new buffer must
+  // not see what the freed one held.
+  for (std::size_t bytes : {kBytes, std::size_t{4096}, std::size_t{64}}) {
+    sim::Buffer* dirty = alloc.allocate(bytes);
+    std::fill_n(dirty->data(), bytes, std::byte{0xA5});
+    alloc.free(dirty);
+    sim::Buffer* fresh = alloc.allocate(bytes);
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      nonzero += fresh->data()[i] != std::byte{0} ? 1 : 0;
+    }
+    EXPECT_EQ(nonzero, 0u) << bytes << " B";
+    alloc.free(fresh);
   }
 }
 

@@ -342,6 +342,60 @@ TEST(NodeTest, EventGenerationsResolveIndependently) {
   EXPECT_LT(pos(2), pos(4));
 }
 
+TEST(NodeTest, ReleasedEventBlocksAreReusedAndStartUnrecorded) {
+  sim::Node node = make_node(2);
+  const sim::StreamId s0 = node.default_stream(0);
+  const sim::StreamId s1 = node.default_stream(1);
+  sim::LaunchStats heavy;
+  heavy.blocks = 256;
+  heavy.flops = 500'000'000'000ull;
+  // One round: stream 1 waits for the first record of each event, recorded
+  // behind a slow kernel on stream 0. A stale (already processed) record
+  // left in a reused event would let stream 1 run early.
+  const auto round = [&](sim::EventId first) {
+    const double t0 = node.now_ms();
+    for (int i = 0; i < 3; ++i) {
+      node.wait_event_generation(s1, first + i, 1);
+      node.launch(s1, heavy, [] {});
+    }
+    for (int i = 0; i < 3; ++i) {
+      node.launch(s0, heavy, [] {});
+      node.record_event(first + i, s0);
+    }
+    node.synchronize();
+    return node.now_ms() - t0;
+  };
+  const sim::EventId first = node.create_events(3);
+  const double fresh_ms = round(first);
+  node.release_events(first, 3);
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    const sim::EventId ev = node.create_events(3);
+    ASSERT_EQ(ev, first) << "cycle " << cycle;
+    // The clock is absolute, so equal durations may differ in the last bits.
+    EXPECT_NEAR(round(ev), fresh_ms, 1e-9 * fresh_ms) << "cycle " << cycle;
+    node.release_events(ev, 3);
+  }
+  // Blocks are reused by exact size only; the table grew by one block.
+  EXPECT_EQ(node.create_events(2), first + 3);
+  EXPECT_EQ(node.create_events(3), first);
+  EXPECT_THROW(node.release_events(first + 4, 2), std::out_of_range);
+  EXPECT_THROW(node.release_events(first, 0), std::out_of_range);
+}
+
+TEST(NodeTest, ReleasedSingleEventIsReusedAsNeverRecorded) {
+  sim::Node node = make_node(1);
+  const sim::StreamId s = node.default_stream(0);
+  const sim::EventId ev = node.create_event();
+  node.record_event(ev, s);
+  node.synchronize();
+  node.release_events(ev, 1);
+  ASSERT_EQ(node.create_event(), ev);
+  // A waiting stream on a never-recorded event deadlocks; a stale record
+  // would have satisfied the wait.
+  node.wait_event_generation(s, ev, 1);
+  EXPECT_THROW(node.synchronize(), std::runtime_error);
+}
+
 TEST(NodeTest, DeadlockDiagnosticNamesBlockedStreams) {
   sim::Node node = make_node(1);
   const sim::EventId ev = node.create_event();

@@ -2,6 +2,9 @@
 // unmodified routines, chained-GEMM residency, and the XT baseline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -172,6 +175,181 @@ TEST(SimblasTest, ElementwiseKernels) {
   node.synchronize();
   // Column j of the 100x10 view of a: sum_{i} (10 i + j + 1).
   EXPECT_FLOAT_EQ(colsum[0], 100.0f * 99.0f / 2.0f * 10.0f + 100.0f);
+}
+
+/// The functional sgemm body as it was before row chunking and register
+/// tiling, verbatim. The current body must match it bit for bit.
+void legacy_sgemm_body(std::size_t m, std::size_t n, std::size_t k,
+                       float alpha, const float* a, const float* b,
+                       float beta, float* c) {
+  // Cache-friendly i-k-j loop.
+  for (std::size_t i = 0; i < m; ++i) {
+    float* ci = c + i * n;
+    if (beta == 0.0f) {
+      std::memset(ci, 0, n * sizeof(float));
+    } else if (beta != 1.0f) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ci[j] *= beta;
+      }
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const float aip = alpha * a[i * k + p];
+      if (aip == 0.0f) {
+        continue;
+      }
+      const float* bp = b + p * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        ci[j] += aip * bp[j];
+      }
+    }
+  }
+}
+
+bool same_bytes(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// A (m x k) with scattered zeros, B (k x n) and C (m x n) random. When
+/// k > 1, column k/2 of A is all zero and row k/2 of B holds an Inf, so
+/// only skipping zero A entries keeps C[0, n/2] finite. C's last element is
+/// a NaN that only beta == 0's memset clears.
+struct GemmOperands {
+  std::vector<float> a, b, c;
+};
+
+GemmOperands gemm_operands(std::size_t m, std::size_t n, std::size_t k,
+                           unsigned seed) {
+  GemmOperands g{random_matrix(m * k, seed), random_matrix(k * n, seed + 1),
+                 random_matrix(m * n, seed + 2)};
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      if ((i + 3 * p) % 7 == 2) {
+        g.a[i * k + p] = 0.0f;
+      }
+    }
+  }
+  if (k > 1) {
+    const std::size_t pz = k / 2;
+    for (std::size_t i = 0; i < m; ++i) {
+      g.a[i * k + pz] = 0.0f;
+    }
+    g.b[pz * n + n / 2] = std::numeric_limits<float>::infinity();
+  }
+  g.c.back() = std::numeric_limits<float>::quiet_NaN();
+  return g;
+}
+
+TEST(SimblasTest, SgemmBodyMatchesLegacyLoopBitForBit) {
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool4};
+  sim::Node node(sim::homogeneous_node(sim::gtx780(), 1));
+  const auto s = node.default_stream(0);
+  unsigned seed = 100;
+  for (std::size_t m : {1, 3, 37, 128}) {
+    for (std::size_t n : {1, 31, 33, 256}) {
+      for (std::size_t k : {1, 17, 256}) {
+        for (float beta : {0.0f, 1.0f, 0.5f}) {
+          // 0.7 is not a power of two, so it also pins that alpha scales
+          // the A entry before the product.
+          for (float alpha : {1.0f, -2.0f, 0.7f}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "m=" << m << " n=" << n << " k=" << k
+                         << " alpha=" << alpha << " beta=" << beta);
+            const GemmOperands g = gemm_operands(m, n, k, seed);
+            seed += 3;
+            std::vector<float> want = g.c;
+            legacy_sgemm_body(m, n, k, alpha, g.a.data(), g.b.data(), beta,
+                              want.data());
+            if (k > 1 && m * n - 1 != n / 2) {
+              ASSERT_TRUE(std::isfinite(want[n / 2])) << "zero skip unpinned";
+            }
+            for (ThreadPool* pool : pools) {
+              std::vector<float> got = g.c;
+              simblas::sgemm(node, 0, s, m, n, k, alpha, g.a.data(),
+                             g.b.data(), beta, got.data(), pool);
+              node.synchronize();
+              ASSERT_TRUE(same_bytes(got, want))
+                  << "pool parallelism "
+                  << (pool == nullptr ? 0 : pool->parallelism());
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimblasTest, GemmChainIsByteEqualAcrossExecThreadsAndBudgets) {
+  // A tall chain C = A x B, D = C x B, C = D x B on 4 devices; n = 80 leaves
+  // a column tail beside the register tiles. In core and under a budget of a
+  // quarter of the per-slot working set (every link streamed), at every
+  // exec thread count, C must equal the legacy body run on the host.
+  const std::size_t m = 1024, k = 80;
+  std::vector<float> a = random_matrix(m * k, 11);
+  for (std::size_t i = 0; i < a.size(); i += 5) {
+    a[i] = 0.0f;
+  }
+  const std::vector<float> b = random_matrix(k * k, 12);
+  std::vector<float> want(m * k, 0.0f), tmp(m * k, 0.0f);
+  legacy_sgemm_body(m, k, k, 1.0f, a.data(), b.data(), 0.0f, want.data());
+  legacy_sgemm_body(m, k, k, 1.0f, want.data(), b.data(), 0.0f, tmp.data());
+  legacy_sgemm_body(m, k, k, 1.0f, tmp.data(), b.data(), 0.0f, want.data());
+
+  const int devices = 4;
+  const std::size_t stripe = m * k * sizeof(float);
+  const std::size_t budget =
+      (3 * stripe / devices + k * k * sizeof(float)) / 4;
+  for (std::size_t bytes : {std::size_t{0}, budget}) {
+    for (unsigned threads : {0u, 1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "budget=" << bytes << " exec threads=" << threads);
+      std::vector<float> a_host = a, b_host = b, c(m * k, 0.0f),
+                         d(m * k, 0.0f);
+      sim::Node node(sim::homogeneous_node(sim::gtx780(), devices));
+      Scheduler sched(node);
+      sched.set_exec_threads(threads);
+      sched.set_device_memory_budget(bytes);
+      Matrix<float> A(k, m, "A"), B(k, k, "B"), C(k, m, "C"), D(k, m, "D");
+      A.Bind(a_host.data());
+      B.Bind(b_host.data());
+      C.Bind(c.data());
+      D.Bind(d.data());
+      simblas::Gemm(sched, A, B, C);
+      simblas::Gemm(sched, C, B, D);
+      simblas::Gemm(sched, D, B, C);
+      sched.Gather(C);
+      EXPECT_EQ(sched.stats().spill.streamed_tasks, bytes == 0 ? 0u : 3u);
+      EXPECT_TRUE(same_bytes(c, want));
+    }
+  }
+}
+
+TEST(SimblasTest, StreamedGemmLinksDoNotGrowTheEventTable) {
+  // Streamed dispatch releases its window events once the task drains, so a
+  // long streamed chain reuses the same simulator event ids.
+  const std::size_t m = 1024, k = 80;
+  std::vector<float> a = random_matrix(m * k, 13), b = random_matrix(k * k, 14),
+                     c(m * k, 0.0f);
+  sim::Node node(sim::homogeneous_node(sim::gtx780(), 4));
+  Scheduler sched(node);
+  sched.set_exec_threads(2);
+  sched.set_device_memory_budget(
+      (3 * m * k * sizeof(float) / 4 + k * k * sizeof(float)) / 4);
+  Matrix<float> A(k, m, "A"), B(k, k, "B"), C(k, m, "C");
+  A.Bind(a.data());
+  B.Bind(b.data());
+  C.Bind(c.data());
+  simblas::Gemm(sched, A, B, C);
+  sched.WaitAll();
+  // create_event() hands out the next table slot when nothing is free.
+  const sim::EventId before = node.create_event();
+  for (int link = 0; link < 20; ++link) {
+    simblas::Gemm(sched, A, B, C);
+  }
+  sched.WaitAll();
+  EXPECT_EQ(sched.stats().spill.streamed_tasks, 21u);
+  EXPECT_EQ(node.create_event(), before + 1);
 }
 
 TEST(SimblasTest, GemmDimensionMismatchThrows) {
